@@ -135,8 +135,9 @@ let run range_s corpus_dir jobs_alt inject demo chaos_mode socket requests
   if dump_seed >= 0 then begin
     (* triage helper: print the exact module a seed generates, so a log
        line like "seed 12: pass X failed" turns into IR on stdout *)
+    print_endline Fuzz.Campaign.grammar_header;
     print_string
-      (Cinm_ir.Printer.module_to_string (Fuzz.Gen.generate ~seed:dump_seed ()));
+      (Cinm_ir.Printer.module_to_string (Fuzz.Campaign.module_of_seed dump_seed));
     0
   end
   else if demo then demo_shrink ~corpus_dir

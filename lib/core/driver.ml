@@ -488,20 +488,33 @@ let run ?(fname = "") ?host_model ?config (compiled : compiled)
         tracks = s.Sched.tracks;
       } )
 
+(* Run a compiled artifact, degrading to the host when a fault plan has
+   failed more DPUs than the allocation can absorb: like a compile-time
+   lowering failure, the request is re-lowered for the CPU from [source]
+   (the pristine function) rather than lost. Only this typed capacity
+   error is caught, so genuine kernel bugs still surface. Returns the
+   artifact that produced the results, whose [fallback] says why when it
+   is the degraded one. *)
+let run_degrading ?verify ?fallback ?host_model ?config ~source (compiled : compiled)
+    args =
+  match run ?host_model ?config compiled args with
+  | results, report -> (results, report, compiled)
+  | exception Usim.Machine.Insufficient_capacity msg when fallback <> Some false ->
+    Log.warn "%s; degrading to host execution" msg;
+    let m = Func.create_module () in
+    Func.add_func m (source ());
+    Pass.run_pipeline ?verify ?config cpu_fallback_pipeline m;
+    let diag = { Pass.pass = "execute"; op = None; message = msg } in
+    let degraded = { compiled with modul = m; fallback = Some diag } in
+    let results, report = run ?host_model ?config degraded args in
+    (results, report, degraded)
+
 (* Compile and run in one step (used by examples and the bench harness). *)
 let compile_and_run ?verify ?fallback ?host_model ?config backend f args =
   let compiled = compile_func ?verify ?fallback ?config backend (Func.clone f) in
-  match run ?host_model ?config compiled args with
-  | result -> result
-  | exception Usim.Machine.Insufficient_capacity msg
-    when fallback <> Some false ->
-    (* a fault plan failed more DPUs than the allocation can absorb:
-       like a compile-time lowering failure, degrade the request to the
-       host rather than losing it — only this typed capacity error is
-       caught, so genuine kernel bugs still surface *)
-    Log.warn "%s; degrading to host execution" msg;
-    let m = Func.create_module () in
-    Func.add_func m (Func.clone f);
-    Pass.run_pipeline ?verify ?config cpu_fallback_pipeline m;
-    let diag = { Pass.pass = "execute"; op = None; message = msg } in
-    run ?host_model ?config { modul = m; backend; fallback = Some diag } args
+  let results, report, _ =
+    run_degrading ?verify ?fallback ?host_model ?config
+      ~source:(fun () -> Func.clone f)
+      compiled args
+  in
+  (results, report)

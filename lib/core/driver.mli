@@ -65,7 +65,24 @@ val run :
   Rtval.t list ->
   Rtval.t list * Report.t
 
-(** Compile a clone of the function and run it in one step. *)
+(** {!run}, degrading to the host when a fault plan leaves too few
+    healthy DPUs for an allocation ({!Usim.Machine.Insufficient_capacity}):
+    [source ()] (the un-lowered function) is lowered for the CPU and run
+    there, unless [fallback] is [false]. Returns the results, the report
+    and the artifact that ran — the degraded one carries a [fallback]
+    diagnostic. *)
+val run_degrading :
+  ?verify:bool ->
+  ?fallback:bool ->
+  ?host_model:Cpu.Model.t ->
+  ?config:Cinm_support.Config.t ->
+  source:(unit -> Func.t) ->
+  compiled ->
+  Rtval.t list ->
+  Rtval.t list * Report.t * compiled
+
+(** Compile a clone of the function and run it in one step, degrading to
+    the host as {!run_degrading} does. *)
 val compile_and_run :
   ?verify:bool ->
   ?fallback:bool ->

@@ -127,13 +127,26 @@ let shrink_and_record ?(inject = false) ?jobs_alt ?(max_rounds = 12) ~corpus_dir
       | None -> ());
       rec_)
 
+let module_of_seed seed = Gen.generate ~updates:true ~seed ()
+
+let grammar_header = "// grammar: updates"
+
+let has_line text line =
+  List.exists (fun l -> String.trim l = line) (String.split_on_char '\n' text)
+
+(* fixtures recorded before the update-loop grammar carry no grammar
+   header and stay what the default grammar generates *)
+let fixture_module_of_seed ~text seed =
+  if has_line text grammar_header then module_of_seed seed
+  else Gen.generate ~seed ()
+
 let run_range ?(inject = false) ?jobs_alt ?(corpus_dir = None)
     ?(progress = fun _ _ -> ()) ~first ~last () =
   let shrinks = ref [] in
   let mismatch_seeds = ref 0 in
   for seed = first to last - 1 do
     Pass.set_fuzz_seed (Some seed);
-    let m = Gen.generate ~seed () in
+    let m = module_of_seed seed in
     let text = Printer.module_to_string m in
     Pass.set_fuzz_seed None;
     (match Oracle.check_seed ~inject ?jobs_alt ~seed text with

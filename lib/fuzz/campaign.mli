@@ -37,6 +37,21 @@ val shrink_and_record :
   Func.modul ->
   shrink_record
 
+(** The module the campaign generates for a seed: the full grammar,
+    including loops that update their carried tensor. *)
+val module_of_seed : int -> Cinm_ir.Func.modul
+
+(** The header line ([// grammar: updates]) that marks a corpus file as
+    holding [module_of_seed]'s text; [cinm_fuzz --dump-seed] prints it
+    first. *)
+val grammar_header : string
+
+(** The module a corpus file's seed regenerates: [module_of_seed] when
+    [text] carries [grammar_header], otherwise the default grammar's
+    [Gen.generate ~seed ()] (the fixtures recorded before loops could
+    update their carried tensor). *)
+val fixture_module_of_seed : text:string -> int -> Cinm_ir.Func.modul
+
 (** Run seeds [first .. last-1] through the full matrix. [progress] is
     called after every seed with (seed, mismatches so far). *)
 val run_range :

@@ -32,6 +32,8 @@ let grammar =
     "cinm.add"; "cinm.sub"; "cinm.mul"; "cinm.min"; "cinm.max"; "cinm.and";
     "cinm.or"; "cinm.xor"; "cinm.gemm"; "cinm.gemv"; "cinm.transpose";
     "cinm.reduce"; "cinm.scan"; "scf.for"; "func.return";
+    (* [~updates:true] only *)
+    "tensor.extract"; "tensor.insert";
   ]
 
 let is_float = Types.is_float_dtype
@@ -59,6 +61,7 @@ type st = {
   dt : Types.dtype;
   mutable tensors : Ir.value list;  (* in-scope tensor values, newest first *)
   mutable scalars : Ir.value list;  (* in-scope scalars of dtype [dt] *)
+  updates : bool;  (* loops may also update their carried tensor *)
 }
 
 let push st v = st.tensors <- v :: st.tensors
@@ -193,7 +196,7 @@ let prod_einsum st =
 
 (* scf.for with a loop-carried tensor: acc' = acc <op> u, where u is an
    outer value (regions are not isolated, so the reference is legal). *)
-let prod_loop st =
+let prod_ew_loop st =
   let t = pick_tensor st in
   let u = partner st t in
   let op = ew_op st in
@@ -205,6 +208,72 @@ let prod_loop st =
         [ op bb iters.(0) u ])
   in
   List.iter (push st) results
+
+(* scf.for carrying a tensor that the body updates — one element with
+   tensor.insert or one slice with tensor.insert_slice — after reading it
+   (tensor.extract, and extract_slice for the slice), and sometimes
+   reading it again after the update; a second iteration argument sums
+   what was read. The init is either a splat nothing else uses or any
+   in-scope tensor, so in-place updates (where the old value is dead) and
+   copies (where it is not) both meet the copying reference. *)
+let prod_update_loop st =
+  let init =
+    if Rng.bool st.rng then TensorD.splat st.b (const_scalar st) (rand_shape st) st.dt
+    else pick_tensor st
+  in
+  let shape = Option.get (Types.shape_of init.Ir.ty) in
+  let index () =
+    List.map (fun d -> Arith.const_index st.b (Rng.range st.rng 0 (d - 1))) (Array.to_list shape)
+  in
+  let at_read = index () in
+  let at_write = index () in
+  let at_after = if Rng.chance st.rng 1 3 then Some (index ()) else None in
+  let slice =
+    if Rng.bool st.rng then begin
+      let sizes = Array.map (fun d -> Rng.range st.rng 1 d) shape in
+      let place () = Array.mapi (fun i d -> Rng.range st.rng 0 (d - sizes.(i))) shape in
+      (* two draws in a fixed order: tuple components evaluate in an
+         unspecified order *)
+      let from = place () in
+      Some (sizes, from, place ())
+    end
+    else None
+  in
+  let op = ew_op st in
+  let c = const_scalar st in
+  let add, zero =
+    if is_float st.dt then (Arith.addf, Arith.constant_f st.b ~ty:(Types.Scalar st.dt) 0.0)
+    else (Arith.addi, Arith.constant st.b ~ty:(Types.Scalar st.dt) 0)
+  in
+  let lb = Arith.const_index st.b 0 in
+  let ub = Arith.const_index st.b (Rng.range st.rng 2 4) in
+  let step = Arith.const_index st.b 1 in
+  match
+    Scf.for_ st.b ~lb ~ub ~step ~init:[ init; zero ] (fun bb _iv iters ->
+        let acc = iters.(0) in
+        let old = TensorD.extract bb acc at_read in
+        let updated =
+          match slice with
+          | Some (sizes, from, to_) ->
+            let s = TensorD.extract_slice bb acc ~offsets:from ~sizes ~dyn_offsets:[] in
+            TensorD.insert_slice bb (op bb s s) acc ~offsets:to_ ~dyn_offsets:[]
+          | None -> TensorD.insert bb (add bb old c) acc at_write
+        in
+        let sum = add bb iters.(1) old in
+        let sum =
+          match at_after with
+          | Some at -> add bb sum (TensorD.extract bb acc at)
+          | None -> sum
+        in
+        [ updated; sum ])
+  with
+  | [ t; s ] ->
+    push st t;
+    st.scalars <- s :: st.scalars
+  | _ -> assert false
+
+let prod_loop st =
+  if st.updates && Rng.bool st.rng then prod_update_loop st else prod_ew_loop st
 
 (* scalar arithmetic at the dtype's boundaries (i8/i16 wrap cases), fed
    back into the tensor world via splat *)
@@ -236,7 +305,7 @@ let productions =
     prod_scalar_chain; prod_splat_scalar;
   |]
 
-let generate ?ops ~seed () =
+let generate ?ops ?(updates = false) ~seed () =
   Cinm_dialects.Registry.ensure_all ();
   let rng = Rng.make seed in
   let dt = Rng.pick rng dtypes in
@@ -248,7 +317,7 @@ let generate ?ops ~seed () =
              Types.Tensor (Array.init rank (fun _ -> Rng.range rng 1 5), dt)))
   in
   let st =
-    { rng; b = Builder.for_func f0; dt; tensors = Func.params f0; scalars = [] }
+    { rng; b = Builder.for_func f0; dt; tensors = Func.params f0; scalars = []; updates }
   in
   let n = match ops with Some n -> n | None -> 3 + Rng.int rng 10 in
   for _ = 1 to n do

@@ -13,8 +13,13 @@ open Cinm_ir
 open Cinm_interp
 
 (** Generate the module for [seed]. [ops] scales the body length
-    (default: 3–12 random ops; the shrink demo passes a large count). *)
-val generate : ?ops:int -> seed:int -> unit -> Func.modul
+    (default: 3–12 random ops; the shrink demo passes a large count).
+    [updates] (default [false]) lets loops also update their carried
+    tensor with [tensor.insert]/[tensor.insert_slice], reading it before
+    and sometimes after the update; the fuzz campaign turns it on
+    ({!Campaign.module_of_seed}). Without it a seed generates the module
+    it always has, which keeps pinned module pools stable. *)
+val generate : ?ops:int -> ?updates:bool -> seed:int -> unit -> Func.modul
 
 (** Deterministic argument values for a generated (or reduced) function,
     synthesized from its signature and the seed — data patterns include

@@ -44,7 +44,13 @@
    [scf.parallel]) is compiled inline into the same register file — the
    SSA dominance rules make slot aliasing safe, with the one exception of
    loop-carried values, which go through scratch slots on yield because a
-   yield operand may itself be an iteration argument. *)
+   yield operand may itself be an iteration argument.
+
+   Two things the compiled backend does differently from the tree walker,
+   neither observable: tensor updates whose old value is dead write in
+   place instead of copying (see "ownership analysis"), and the UPMEM DMA
+   ops run as native closures with their [count] decoded once, through
+   the same [Interp.exec_dma] the tree walker calls. *)
 
 open Cinm_ir
 module Config = Cinm_support.Config
@@ -117,6 +123,9 @@ type cstate = {
   mutable nint : int;
   slots : (int, int) Hashtbl.t;  (** vid -> encoded slot *)
   mutable caps : (Ir.value * int) list;  (** reverse order of first use *)
+  in_place : (int, unit) Hashtbl.t;
+      (** oids of the update ops that may write into their destination,
+          see [ownership] *)
 }
 
 (* A value lives in the int frame iff its static type guarantees its
@@ -241,6 +250,194 @@ let free_values (op : Ir.op) : Ir.value list =
     List.rev !acc
   end
 
+(* ----- ownership analysis ----- *)
+
+(* Tensors have value semantics: [tensor.insert_slice], [tensor.insert]
+   and [cinm.merge_partial] return an updated copy of their destination
+   and leave it untouched. Copying is only observable if something reads
+   the old value afterwards, so — as MLIR's bufferization does ahead of
+   time — the compiled backend updates in place when no one can: the
+   destination is *owned* (the only reference to a tensor this unit
+   allocated) and the update is its *last use*.
+
+   - Owned: the result of an op that allocates a fresh tensor on every
+     execution ([unique_result]; an update op's result is either a copy
+     or its owned destination, so it counts), and an [scf.for] iteration
+     argument (and the matching loop result) whose init value and yielded
+     value are both owned and are used for the last time by the loop and
+     its yield. Nothing else: entry-block and branch arguments, captured
+     values, hook results, [scf.if]/[arith.select] results, and aliases
+     made by [tensor.reshape] / [cinm.expand] are never owned.
+   - Last use of [v] at op [u]: [u] uses [v] exactly once, in the block
+     that defines [v], and every other use of [v] is a [plain_read]
+     earlier in that block. A use inside a nested region, by a
+     terminator, by any other op, or later in the block rules it out.
+
+   Loop ownership is a greatest fixpoint (a loop may pass its own
+   iteration argument on), computed by removing nodes whose init or
+   yield is not owned and propagating to dependent loops with a
+   worklist; with one use table it is linear in the unit's size. *)
+
+(* Operand positions that copy out of the tensor they read and keep no
+   reference to it. *)
+let plain_read (op : Ir.op) j =
+  match (op.Ir.name, j) with
+  | ("tensor.extract_slice" | "tensor.extract" | "tensor.insert_slice"), 0 -> true
+  | "cinm.merge_partial", 1 -> true
+  | _ -> false
+
+let unique_result = function
+  | "tensor.empty" | "tensor.splat" | "linalg.fill" | "tensor.extract_slice"
+  | "tensor.pad" | "tensor.insert_slice" | "tensor.insert" | "cinm.merge_partial" ->
+    true
+  | _ -> false
+
+(* Destination operand of the ops that may update in place. *)
+let update_dst = function
+  | "tensor.insert_slice" | "tensor.insert" -> Some 1
+  | "cinm.merge_partial" -> Some 0
+  | _ -> None
+
+(* How a value's uses look from its defining block. *)
+type usage = {
+  mutable others : int;  (** uses that are not earlier-in-block plain reads *)
+  mutable other_oid : int;  (** the op of the last such use *)
+  mutable other_j : int;  (** and its operand position *)
+  mutable last_read : int;  (** latest block position of a plain read *)
+}
+
+(* A loop-carried value: iteration argument [k] of an [scf.for]. *)
+type carried = {
+  init : Ir.value;
+  yielded : Ir.value;
+  loop : Ir.op;
+  term : Ir.op;
+  k : int;
+  mutable owned : bool;
+  mutable dependents : carried list;
+}
+
+type ownership_src = Fresh | Carried of carried
+
+let ownership (region : Ir.region) : (int, unit) Hashtbl.t =
+  let def_block : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let pos : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
+  let usage : (int, usage) Hashtbl.t = Hashtbl.create 64 in
+  let src : (int, ownership_src) Hashtbl.t = Hashtbl.create 16 in
+  let nodes = ref [] and updates = ref [] in
+  let define bid (v : Ir.value) = Hashtbl.replace def_block v.Ir.vid bid in
+  let use bid idx (op : Ir.op) j (v : Ir.value) =
+    let u =
+      match Hashtbl.find_opt usage v.Ir.vid with
+      | Some u -> u
+      | None ->
+        let u = { others = 0; other_oid = -1; other_j = -1; last_read = -1 } in
+        Hashtbl.add usage v.Ir.vid u;
+        u
+    in
+    if plain_read op j && Hashtbl.find_opt def_block v.Ir.vid = Some bid then
+      u.last_read <- max u.last_read idx
+    else begin
+      u.others <- u.others + 1;
+      u.other_oid <- op.Ir.oid;
+      u.other_j <- j
+    end
+  in
+  let register_loop (op : Ir.op) =
+    let n = Array.length op.Ir.results in
+    if
+      n > 0
+      && Ir.num_operands op = n + 3
+      && Array.length op.Ir.regions = 1
+      && Ir.num_blocks op.Ir.regions.(0) > 0
+    then begin
+      let body = Ir.entry_block op.Ir.regions.(0) in
+      let nops = Ir.num_ops body in
+      if Array.length body.Ir.args = n + 1 && nops > 0 then begin
+        let term = Ir.op_at body (nops - 1) in
+        if Interp.is_terminator term && Array.length term.Ir.operands = n then
+          for k = 0 to n - 1 do
+            let c =
+              { init = op.Ir.operands.(k + 3); yielded = term.Ir.operands.(k); loop = op;
+                term; k; owned = true; dependents = [] }
+            in
+            nodes := c :: !nodes;
+            Hashtbl.replace src body.Ir.args.(k + 1).Ir.vid (Carried c);
+            Hashtbl.replace src op.Ir.results.(k).Ir.vid (Carried c)
+          done
+      end
+    end
+  in
+  let rec walk_region (r : Ir.region) = Ir.iter_blocks walk_block r
+  and walk_block (b : Ir.block) =
+    let bid = b.Ir.bid in
+    Array.iter (define bid) b.Ir.args;
+    for idx = 0 to Ir.num_ops b - 1 do
+      let op = Ir.op_at b idx in
+      Hashtbl.replace pos op.Ir.oid (bid, idx);
+      Array.iteri (use bid idx op) op.Ir.operands;
+      Array.iter (define bid) op.Ir.results;
+      if unique_result op.Ir.name then
+        Array.iter (fun (v : Ir.value) -> Hashtbl.replace src v.Ir.vid Fresh) op.Ir.results;
+      if op.Ir.name = "scf.for" then register_loop op;
+      if update_dst op.Ir.name <> None then updates := op :: !updates;
+      Array.iter walk_region op.Ir.regions
+    done
+  in
+  walk_region region;
+  (* [u] is the last use of [v], at operand [j] *)
+  let last_use (v : Ir.value) (u : Ir.op) j =
+    match (Hashtbl.find_opt usage v.Ir.vid, Hashtbl.find_opt pos u.Ir.oid) with
+    | Some us, Some (bid, idx) ->
+      us.others = 1 && us.other_oid = u.Ir.oid && us.other_j = j
+      && Hashtbl.find_opt def_block v.Ir.vid = Some bid
+      && us.last_read < idx
+    | _ -> false
+  in
+  let owned (v : Ir.value) =
+    match Hashtbl.find_opt src v.Ir.vid with
+    | Some Fresh -> true
+    | Some (Carried c) -> c.owned
+    | None -> false
+  in
+  let worklist = Queue.create () in
+  let kill c =
+    if c.owned then begin
+      c.owned <- false;
+      Queue.add c worklist
+    end
+  in
+  List.iter
+    (fun c ->
+      if not (last_use c.init c.loop (c.k + 3) && last_use c.yielded c.term c.k) then kill c;
+      List.iter
+        (fun (v : Ir.value) ->
+          match Hashtbl.find_opt src v.Ir.vid with
+          | Some (Carried d) -> d.dependents <- c :: d.dependents
+          | Some Fresh -> ()
+          | None -> kill c)
+        [ c.init; c.yielded ])
+    !nodes;
+  while not (Queue.is_empty worklist) do
+    List.iter kill (Queue.pop worklist).dependents
+  done;
+  let in_place = Hashtbl.create 8 in
+  List.iter
+    (fun (u : Ir.op) ->
+      match update_dst u.Ir.name with
+      | Some j when j < Array.length u.Ir.operands ->
+        let dst = u.Ir.operands.(j) in
+        if owned dst && last_use dst u j then Hashtbl.replace in_place u.Ir.oid ()
+      | _ -> ())
+    !updates;
+  in_place
+
+let in_place_ops (region : Ir.region) =
+  let set = ownership region in
+  let acc = ref [] in
+  Ir.walk_region (fun op -> if Hashtbl.mem set op.Ir.oid then acc := op :: !acc) region;
+  List.rev !acc
+
 (* ----- the generic fallback ----- *)
 
 (* Route one op through [Interp.eval_op]: stage its operands (and the free
@@ -276,8 +473,8 @@ let compile_generic st (op : Ir.op) : instr =
   if Array.length op.Ir.regions > 0 then slow
   else begin
     (* Region-free op: hooks only need the operand values, so try them
-       straight off the register file — no environment staging, which is
-       the dominant cost of the per-element device ops (mram_read/write)
+       straight off the register file — no environment staging, which
+       would dominate the per-element device ops (barriers, tasklet ids)
        kernels execute by the million. Builtin ops never reach hooks
        ([Interp.eval_op] dispatches them by name first), so a [None] here
        means the op is either builtin-generic or an error — both handled
@@ -366,6 +563,11 @@ and compile_native st (op : Ir.op) : instr option =
   | "memref.alloc" | "upmem.wram_alloc" -> Some (compile_alloc st op)
   | "memref.load" | "tensor.extract" -> Some (compile_indexed_load st op)
   | "memref.store" -> Some (compile_store st op)
+  | "tensor.insert_slice" -> Some (compile_insert_slice st op)
+  | "tensor.insert" -> Some (compile_insert st op)
+  | "cinm.merge_partial" -> Some (compile_merge_partial st op)
+  | "upmem.mram_read" -> Some (compile_dma st op ~to_wram:true)
+  | "upmem.mram_write" -> Some (compile_dma st op ~to_wram:false)
   | name -> (
     match int_binop_spec name with
     | Some (bucket, f) -> Some (compile_int_bin st op bucket f)
@@ -692,6 +894,105 @@ and compile_store st op =
       p.Profile.stores <- p.Profile.stores + 1;
       Tensor.set m idx v
 
+(* ----- tensor updates and DMA -----
+
+   Each replays its [Interp.eval_op] case: the same profile increments,
+   the same [Tensor] functions (so the same errors). The update ops write
+   into their destination when the ownership analysis allows it and copy
+   otherwise; the in-place result reuses the destination's slot value. *)
+
+and result_slot st op =
+  if Array.length op.Ir.results <> 1 then raise Punt;
+  def_slot st op.Ir.results.(0)
+
+and compile_insert_slice st op =
+  let in_place = Hashtbl.mem st.in_place op.Ir.oid in
+  let src_s = use_slot st op.Ir.operands.(0) in
+  let dst_s = use_slot st op.Ir.operands.(1) in
+  (* static offsets plus the dynamic offset operands, as
+     [Interp.add_dyn_offsets] adds them; a count mismatch is left to the
+     generic path, which raises the tree walker's error at runtime *)
+  let static = Ir.ints_attr op "offsets" in
+  let n_dyn = Ir.num_operands op - 2 in
+  if n_dyn <> 0 && n_dyn <> Array.length static then raise Punt;
+  let dyn = Array.init n_dyn (fun i -> use_slot st op.Ir.operands.(2 + i)) in
+  let r = result_slot st op in
+  fun ctx gf iframe ->
+    let p = ctx.Interp.profile in
+    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+    let src = Rtval.as_tensor (get_rt gf iframe src_s) in
+    let dst_v = get_rt gf iframe dst_s in
+    let dst = Rtval.as_tensor dst_v in
+    let offsets =
+      if n_dyn = 0 then static
+      else Array.mapi (fun i off -> off + geti gf iframe dyn.(i)) static
+    in
+    let n = Tensor.num_elements src in
+    p.Profile.loads <- p.Profile.loads + n;
+    p.Profile.stores <- p.Profile.stores + n;
+    if in_place then begin
+      Tensor.insert_slice_into src dst ~offsets;
+      set_rt gf iframe r dst_v
+    end
+    else set_rt gf iframe r (Rtval.Tensor (Tensor.insert_slice src dst ~offsets))
+
+and compile_insert st op =
+  let n_idx = Ir.num_operands op - 2 in
+  if n_idx < 0 then raise Punt;
+  let in_place = Hashtbl.mem st.in_place op.Ir.oid in
+  let v_s = use_slot st op.Ir.operands.(0) in
+  let dst_s = use_slot st op.Ir.operands.(1) in
+  let idx_s = Array.init n_idx (fun i -> use_slot st op.Ir.operands.(i + 2)) in
+  let r = result_slot st op in
+  fun ctx gf iframe ->
+    let p = ctx.Interp.profile in
+    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+    let dst_v = get_rt gf iframe dst_s in
+    let dst = Rtval.as_tensor dst_v in
+    let idx = Array.map (fun s -> geti gf iframe s) idx_s in
+    p.Profile.stores <- p.Profile.stores + 1;
+    let out = if in_place then dst else Tensor.copy dst in
+    if Types.is_float_dtype out.Tensor.dtype then
+      Tensor.set_f out idx (getf gf iframe v_s)
+    else Tensor.set out idx (geti gf iframe v_s);
+    set_rt gf iframe r (if in_place then dst_v else Rtval.Tensor out)
+
+and compile_merge_partial st op =
+  let opname = Ir.str_attr op "op" in
+  let in_place = Hashtbl.mem st.in_place op.Ir.oid in
+  let a_s = use_slot st op.Ir.operands.(0) in
+  let b_s = use_slot st op.Ir.operands.(1) in
+  let r = result_slot st op in
+  fun ctx gf iframe ->
+    let p = ctx.Interp.profile in
+    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+    let a_v = get_rt gf iframe a_s in
+    let a = Rtval.as_tensor a_v and b = Rtval.as_tensor (get_rt gf iframe b_s) in
+    let n = Tensor.num_elements a in
+    p.Profile.alu_ops <- p.Profile.alu_ops + n;
+    p.Profile.loads <- p.Profile.loads + (2 * n);
+    p.Profile.stores <- p.Profile.stores + n;
+    if in_place then begin
+      Tensor.map2_into opname a b;
+      set_rt gf iframe r a_v
+    end
+    else set_rt gf iframe r (Rtval.Tensor (Tensor.map2 opname a b))
+
+and compile_dma st op ~to_wram =
+  if Ir.num_operands op <> 4 || Array.length op.Ir.results <> 0 then raise Punt;
+  let count = Ir.int_attr op "count" in
+  let mram_s = use_slot st op.Ir.operands.(0) in
+  let wram_s = use_slot st op.Ir.operands.(1) in
+  let moff_s = use_slot st op.Ir.operands.(2) in
+  let woff_s = use_slot st op.Ir.operands.(3) in
+  fun ctx gf iframe ->
+    let p = ctx.Interp.profile in
+    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+    let mram = Rtval.as_tensor (get_rt gf iframe mram_s) in
+    let wram = Rtval.as_tensor (get_rt gf iframe wram_s) in
+    Interp.exec_dma ctx op ~to_wram ~count mram wram (geti gf iframe moff_s)
+      (geti gf iframe woff_s)
+
 (* Compile a block's ops in program order (order matters: a definition
    must claim its slot before any use, otherwise the use would be
    misclassified as a capture). Returns the instruction sequence and, when
@@ -867,7 +1168,10 @@ and compile_parallel st op =
 (* ----- unit compilation, cache, execution ----- *)
 
 let compile_unit (region : Ir.region) : code =
-  let st = { ngen = 0; nint = 0; slots = Hashtbl.create 64; caps = [] } in
+  let st =
+    { ngen = 0; nint = 0; slots = Hashtbl.create 64; caps = [];
+      in_place = ownership region }
+  in
   let block = Ir.entry_block region in
   let arg_slots = Array.map (fun v -> def_slot st v) block.Ir.args in
   let body, term = compile_block st block in

@@ -51,6 +51,13 @@ val run : prepared -> Interp.ctx -> Rtval.t list -> Rtval.t list
 (** [prepare] + [run] in one step, for single-shot region execution. *)
 val run_region : Interp.ctx -> Ir.region -> Rtval.t list -> Rtval.t list
 
+(** The update ops ([tensor.insert_slice], [tensor.insert],
+    [cinm.merge_partial]) of a unit that the compiled backend executes in
+    place, in program order: those whose destination is owned by the unit
+    and not used after the update. Everything else copies, as the tree
+    walker always does. *)
+val in_place_ops : Ir.region -> Ir.op list
+
 (** Drop all cached compiled units. Needed only if IR blocks are mutated
     after having been executed (block identity is the cache key). *)
 val clear_cache : unit -> unit

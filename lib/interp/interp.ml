@@ -1,8 +1,9 @@
 (* Reference interpreter for the CINM IR. Executes host-level dialects
-   (arith, scf, tensor, memref, linalg, tosa, cinm) directly; device
-   dialects (cnm, cim, upmem, memristor) are delegated to hooks installed
-   by the simulators. Every executed operation is accounted in a
-   [Profile.t], from which the timing models derive simulated time. *)
+   (arith, scf, tensor, memref, linalg, tosa, cinm) and the UPMEM DMA ops
+   directly; the other device ops (cnm, cim, upmem, memristor) are
+   delegated to hooks installed by the simulators. Every executed
+   operation is accounted in a [Profile.t], from which the timing models
+   derive simulated time. *)
 
 open Cinm_ir
 module Util = Cinm_support.Util
@@ -142,6 +143,38 @@ let alloc_tensor ctx shape dt =
     l := t :: !l;
     t
   | None -> Tensor.zeros shape dt
+
+(* Printers naming the processing element a context simulates, for
+   diagnostics raised by semantics shared across devices; each simulator
+   registers one for its own [device_state] constructors at start-up. *)
+let device_printers : (device_state -> string option) list ref = ref []
+let register_device_printer f = device_printers := f :: !device_printers
+
+let describe_device d =
+  Option.value ~default:"" (List.find_map (fun f -> f d) !device_printers)
+
+(* [upmem.mram_read]/[upmem.mram_write]: copy [count] contiguous elements
+   between an MRAM buffer and a WRAM scratchpad. The one implementation of
+   the DMA ops, used by both backends; [count] is decoded by the caller
+   (once per op under the compiled backend). *)
+let dma_oob ctx (op : Ir.op) name off count n =
+  invalid_arg
+    (Printf.sprintf "%s: %s range [%d, %d) out of bounds for %d elements%s"
+       op.Ir.name name off (off + count) n (describe_device ctx.device))
+
+let exec_dma ctx (op : Ir.op) ~to_wram ~count mram wram mram_off wram_off =
+  (let n = Tensor.num_elements mram in
+   if mram_off < 0 || count < 0 || mram_off + count > n then
+     dma_oob ctx op "MRAM" mram_off count n);
+  (let n = Tensor.num_elements wram in
+   if wram_off < 0 || count < 0 || wram_off + count > n then
+     dma_oob ctx op "WRAM" wram_off count n);
+  if to_wram then Tensor.blit mram mram_off wram wram_off count
+  else Tensor.blit wram wram_off mram mram_off count;
+  let p = ctx.profile in
+  p.Profile.dma_transfers <- p.Profile.dma_transfers + 1;
+  p.Profile.dma_bytes <-
+    p.Profile.dma_bytes + (count * Types.dtype_bytes mram.Tensor.dtype)
 
 let operand ctx op i = lookup ctx (Ir.operand op i)
 let t_operand ctx op i = Rtval.as_tensor (operand ctx op i)
@@ -449,6 +482,12 @@ and eval_op ctx (op : Ir.op) : unit =
     Tensor.blit src 0 dst 0 n;
     set_results []
   | "memref.dealloc" -> set_results []
+  | "upmem.mram_read" | "upmem.mram_write" ->
+    let mram = t_operand ctx op 0 and wram = t_operand ctx op 1 in
+    let mram_off = i_operand ctx op 2 and wram_off = i_operand ctx op 3 in
+    exec_dma ctx op ~to_wram:(name = "upmem.mram_read") ~count:(Ir.int_attr op "count")
+      mram wram mram_off wram_off;
+    set_results []
   (* ----- elementwise cinm / linalg / tosa ----- *)
   | _ when List.mem_assoc name cinm_elementwise ->
     eval_elementwise ctx op (List.assoc name cinm_elementwise)

@@ -1,7 +1,7 @@
 (** Reference interpreter for the CINM IR. Executes host-level dialects
-    directly; device dialects are delegated to hooks installed by the
-    simulators. Every executed op is accounted in a {!Profile.t}, from
-    which the timing models derive simulated time. *)
+    and the UPMEM DMA ops directly; other device ops are delegated to
+    hooks installed by the simulators. Every executed op is accounted in a
+    {!Profile.t}, from which the timing models derive simulated time. *)
 
 open Cinm_ir
 
@@ -103,6 +103,22 @@ val account_int_binop : Profile.t -> int -> unit
     backends: arena-recycled and recorded when the context has a
     [scratch] list, fresh {!Tensor.zeros} otherwise. *)
 val alloc_tensor : ctx -> int array -> Types.dtype -> Tensor.t
+
+(** Register a printer naming the processing element of a device state
+    (e.g. [" on DPU 3 (tasklet 1)"]); device simulators call this once at
+    start-up for their own constructors. *)
+val register_device_printer : (device_state -> string option) -> unit
+
+(** [upmem.mram_read] ([to_wram]) / [upmem.mram_write]: copy [count]
+    contiguous elements between the MRAM buffer and the WRAM scratchpad at
+    the given element offsets, and charge one [dma_transfers] and
+    [count * element bytes] [dma_bytes]. The single implementation of the
+    DMA ops under both backends.
+    @raise Invalid_argument naming the op, MRAM/WRAM, the range and the
+    device (through the registered printers) when a range is out of
+    bounds. *)
+val exec_dma :
+  ctx -> Ir.op -> to_wram:bool -> count:int -> Tensor.t -> Tensor.t -> int -> int -> unit
 
 (** Look up an SSA value's runtime binding.
     @raise Interp_error when unbound. *)

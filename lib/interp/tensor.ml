@@ -176,7 +176,10 @@ let float_binop name : float -> float -> float =
   | "max" -> max
   | _ -> invalid_arg ("Tensor.float_binop: " ^ name)
 
-let map2 name a b =
+(* With [~in_place:true] the result is written into [a]'s storage; element
+   [i] is read from both inputs before it is written, so the in-place
+   variant computes exactly what the fresh one does. *)
+let map2_gen ~in_place name a b =
   if a.shape <> b.shape then invalid_arg "Tensor.map2: shape mismatch";
   match (a.data, b.data) with
   | I x, I y ->
@@ -184,7 +187,7 @@ let map2 name a b =
        range (x and y have equal shapes) *)
     let f = int_binop name in
     let n = Array.length x in
-    let out = Array.make n 0 in
+    let out = if in_place then x else Array.make n 0 in
     (match a.dtype with
     | Types.I64 ->
       for i = 0 to n - 1 do
@@ -196,17 +199,27 @@ let map2 name a b =
         Array.unsafe_set out i
           (wrap dt (f (Array.unsafe_get x i) (Array.unsafe_get y i)))
       done);
-    { a with data = I out }
+    if in_place then a else { a with data = I out }
   | F x, F y ->
-    { a with data = F (Array.init (Array.length x) (fun i -> float_binop name x.(i) y.(i))) }
+    if in_place then begin
+      for i = 0 to Array.length x - 1 do
+        x.(i) <- float_binop name x.(i) y.(i)
+      done;
+      a
+    end
+    else
+      { a with data = F (Array.init (Array.length x) (fun i -> float_binop name x.(i) y.(i))) }
   | (I _ | I8 _ | I16 _), (I _ | I8 _ | I16 _) ->
     let f = int_binop name in
-    let out = zeros a.shape a.dtype in
+    let out = if in_place then a else zeros a.shape a.dtype in
     for i = 0 to num_elements a - 1 do
       set_int out i (f (get_int a i) (get_int b i))
     done;
     out
   | _ -> invalid_arg "Tensor.map2: mixed payloads"
+
+let map2 name a b = map2_gen ~in_place:false name a b
+let map2_into name a b = ignore (map2_gen ~in_place:true name a b)
 
 let map_not a =
   match a.data with
@@ -676,11 +689,9 @@ let extract_slice t ~offsets ~sizes =
     done);
   out
 
-(* Value semantics: returns a fresh tensor with [src] written at [offsets]. *)
-let insert_slice src dst ~offsets =
-  let out = copy dst in
+let insert_slice_into src dst ~offsets =
   let rank = Array.length dst.shape in
-  (match (src.data, out.data) with
+  match (src.data, dst.data) with
   | I s, I d
     when rank > 0
          && src.dtype = dst.dtype
@@ -694,15 +705,20 @@ let insert_slice src dst ~offsets =
     for off = 0 to n - 1 do
       let idx = Util.delinearize src.shape off in
       let dst_idx = Array.init rank (fun i -> idx.(i) + offsets.(i)) in
-      set_float out (Util.linearize dst.shape dst_idx) (get_float src off)
+      set_float dst (Util.linearize dst.shape dst_idx) (get_float src off)
     done
   | _ ->
     let n = num_elements src in
     for off = 0 to n - 1 do
       let idx = Util.delinearize src.shape off in
       let dst_idx = Array.init rank (fun i -> idx.(i) + offsets.(i)) in
-      set_int out (Util.linearize dst.shape dst_idx) (get_int src off)
-    done);
+      set_int dst (Util.linearize dst.shape dst_idx) (get_int src off)
+    done
+
+(* Value semantics: returns a fresh tensor with [src] written at [offsets]. *)
+let insert_slice src dst ~offsets =
+  let out = copy dst in
+  insert_slice_into src out ~offsets;
   out
 
 let im2col img ~kh ~kw =

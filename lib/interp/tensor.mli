@@ -70,6 +70,12 @@ val int_binop : string -> int -> int -> int
 
 val float_binop : string -> float -> float -> float
 val map2 : string -> t -> t -> t
+
+(** [map2_into name a b] is {!map2} written into [a]'s storage: afterwards
+    [a] holds what [map2 name a b] returns, with the same errors. Only for
+    callers that own [a] and never read its old value again. *)
+val map2_into : string -> t -> t -> unit
+
 val map_not : t -> t
 val fill_scalar : int array -> Types.dtype -> int -> t
 
@@ -118,6 +124,10 @@ val extract_slice : t -> offsets:int array -> sizes:int array -> t
 
 (** Value semantics: a fresh tensor with [src] written at [offsets]. *)
 val insert_slice : t -> t -> offsets:int array -> t
+
+(** In-place {!insert_slice}: writes [src] into [dst] at [offsets]. Only
+    for callers that own [dst] and never read its old value again. *)
+val insert_slice_into : t -> t -> offsets:int array -> unit
 
 val im2col : t -> kh:int -> kw:int -> t
 

@@ -327,13 +327,19 @@ let compile_cached srv (req : P.request) config (bench : Benchmark.t) =
     Cache.add srv.cache key compiled;
     (compiled, "miss")
 
+(* One execution; returns the report and the artifact that ran — the
+   host re-lowering when a fault plan left too few DPUs (its [fallback]
+   says so, and the reply is degraded rather than an internal error). *)
 let run_once (req : P.request) config (bench : Benchmark.t)
     (compiled : Driver.compiled) =
-  let results, report = Driver.run ~config compiled (bench.Benchmark.inputs ()) in
-  if req.P.check && compiled.Driver.fallback = None then
+  let results, report, ran =
+    Driver.run_degrading ~fallback:req.P.fallback ~config ~source:bench.Benchmark.build
+      compiled (bench.Benchmark.inputs ())
+  in
+  if req.P.check && ran.Driver.fallback = None then
     if not (Benchmark.results_match bench results) then
       failwith (req.P.benchmark ^ ": device results differ from the host reference");
-  report
+  (report, ran)
 
 let execute_request srv (req : P.request) config ~(phases : phases) : Json.t =
   let req_id = config.Config.req_id in
@@ -364,8 +370,8 @@ let execute_request srv (req : P.request) config ~(phases : phases) : Json.t =
         | _ -> [])
       | [] -> []
     in
-    let fallback_fields =
-      match compiled.Driver.fallback with
+    let fallback_fields (c : Driver.compiled) =
+      match c.Driver.fallback with
       | Some diag ->
         [ ("fallback", Json.String (Pass.diag_to_string diag)) ]
       | None -> []
@@ -373,31 +379,34 @@ let execute_request srv (req : P.request) config ~(phases : phases) : Json.t =
     match req.P.op with
     | P.Compile ->
       P.ok_response ?id:req.P.id ~req_id ~op:req.P.op
-        (base @ fallback_fields
+        (base @ fallback_fields compiled
         @ [ ("ops", Json.Int (Pass.count_ops compiled.Driver.modul)) ])
     | P.Run ->
       let te0 = Unix.gettimeofday () in
-      let report = run_once req config bench compiled in
+      let report, ran = run_once req config bench compiled in
       phases.ph_execute_s <- Unix.gettimeofday () -. te0;
-      let degraded = degraded_of_report compiled report in
+      let degraded = degraded_of_report ran report in
       P.ok_response ?id:req.P.id ~req_id ~op:req.P.op
         (List.remove_assoc "degraded" base
         @ [ ("degraded", Json.Bool degraded) ]
-        @ fallback_fields @ report_fields report)
+        @ fallback_fields ran @ report_fields report)
     | P.Bench ->
-      let sim_s = ref 0.0 and wall = ref [] in
+      let sim_s = ref 0.0 and wall = ref [] and ran = ref compiled in
       let te0 = Unix.gettimeofday () in
       for _ = 1 to req.P.repeats do
         Config.check config;
         let t0 = Unix.gettimeofday () in
-        let report = run_once req config bench compiled in
+        let report, r = run_once req config bench compiled in
+        ran := r;
         wall := (Unix.gettimeofday () -. t0) :: !wall;
         sim_s := !sim_s +. report.Report.total_s
       done;
       phases.ph_execute_s <- Unix.gettimeofday () -. te0;
       let wall = List.rev !wall in
       P.ok_response ?id:req.P.id ~req_id ~op:req.P.op
-        (base @ fallback_fields
+        (List.remove_assoc "degraded" base
+        @ [ ("degraded", Json.Bool (!ran.Driver.fallback <> None)) ]
+        @ fallback_fields !ran
         @ [
             ("runs", Json.Int req.P.repeats);
             ("sim_s", Json.Float !sim_s);

@@ -474,36 +474,13 @@ let account_launch m ~launch (profiles : Profile.t array array) =
     +. (float_of_int !total_dma_bytes *. c.Config.energy_per_dma_byte);
   kernel_t
 
-(* DMA data movement between an "MRAM" memref (the PU's buffer) and a WRAM
-   scratchpad: copies [count] contiguous elements between the two offsets. *)
-let dma_oob ctx op name off count n =
-  let where =
-    match ctx.Interp.device with
-    | Dpu_lane l -> Printf.sprintf " on DPU %d (tasklet %d)" l.dpu l.tasklet
-    | _ -> ""
-  in
-  invalid_arg
-    (Printf.sprintf "%s: %s range [%d, %d) out of bounds for %d elements%s"
-       op.Ir.name name off (off + count) n where)
-
-let exec_dma ~to_wram ctx op (ops : Rtval.t array) =
-  let mram = Rtval.as_tensor ops.(0) in
-  let wram = Rtval.as_tensor ops.(1) in
-  let mram_off = Rtval.as_int ops.(2) in
-  let wram_off = Rtval.as_int ops.(3) in
-  let count = Ir.int_attr op "count" in
-  let elem_bytes = Types.dtype_bytes mram.Tensor.dtype in
-  (let n = Tensor.num_elements mram in
-   if mram_off < 0 || count < 0 || mram_off + count > n then
-     dma_oob ctx op "MRAM" mram_off count n);
-  (let n = Tensor.num_elements wram in
-   if wram_off < 0 || count < 0 || wram_off + count > n then
-     dma_oob ctx op "WRAM" wram_off count n);
-  if to_wram then Tensor.blit mram mram_off wram wram_off count
-  else Tensor.blit wram wram_off mram mram_off count;
-  let p = ctx.Interp.profile in
-  p.Profile.dma_transfers <- p.Profile.dma_transfers + 1;
-  p.Profile.dma_bytes <- p.Profile.dma_bytes + (count * elem_bytes)
+(* DMA ops ([upmem.mram_read]/[mram_write]) are interpreter builtins
+   ([Interp.exec_dma]); their bounds diagnostics name the lane through
+   this printer. *)
+let () =
+  Interp.register_device_printer (function
+    | Dpu_lane l -> Some (Printf.sprintf " on DPU %d (tasklet %d)" l.dpu l.tasklet)
+    | _ -> None)
 
 let hook_impl (m : t) : Interp.hook =
  fun ctx op ops ->
@@ -760,12 +737,6 @@ let hook_impl (m : t) : Interp.hook =
       in
       Some [ Rtval.Memref t ]
     | _ -> invalid_arg "upmem.wram_shared_alloc: bad result type")
-  | "upmem.mram_read" ->
-    exec_dma ~to_wram:true ctx op ops;
-    Some []
-  | "upmem.mram_write" ->
-    exec_dma ~to_wram:false ctx op ops;
-    Some []
   | "upmem.barrier_wait" ->
     ctx.Interp.profile.Profile.barriers <- ctx.Interp.profile.Profile.barriers + 1;
     Some []

@@ -242,6 +242,35 @@ let test_error_parity () =
     Func_d.return b [];
     Compile.run_func f []
   in
+  (* out-of-bounds updates of an owned tensor, which the compiled backend
+     writes in place *)
+  let update_oob body () =
+    let text =
+      {|
+  func.func @main() -> (tensor<4xi32>) {
+    %c5 = "arith.constant"() {value = 5} : () -> (index)
+    %k = "arith.constant"() {value = 7} : () -> (i32)
+    %e = "tensor.empty"() : () -> (tensor<4xi32>)
+    %s = "tensor.splat"(%k) : (i32) -> (tensor<2xi32>)|}
+      ^ body
+      ^ {|
+    "func.return"(%u) : (tensor<4xi32>) -> ()
+  }|}
+    in
+    let f = List.hd (Parser.parse_module_text text).Func.funcs in
+    Alcotest.(check int) "updated in place" 1 (List.length (Compile.in_place_ops f.Func.body));
+    Compile.run_func f []
+  in
+  let insert_oob =
+    update_oob
+      {|
+    %u = "tensor.insert"(%k, %e, %c5) : (i32, tensor<4xi32>, index) -> (tensor<4xi32>)|}
+  in
+  let insert_slice_oob =
+    update_oob
+      {|
+    %u = "tensor.insert_slice"(%s, %e, %c5) {offsets = [0]} : (tensor<2xi32>, tensor<4xi32>, index) -> (tensor<4xi32>)|}
+  in
   List.iter
     (fun scenario ->
       let e_tree = with_backend Compile.Tree (fun () -> catch scenario) in
@@ -249,7 +278,7 @@ let test_error_parity () =
       match (e_tree, e_comp) with
       | Some a, Some b -> Alcotest.(check string) "same error" a b
       | _ -> Alcotest.fail "expected both backends to raise")
-    [ oob; bad_step ]
+    [ oob; bad_step; insert_oob; insert_slice_oob ]
 
 (* ----- interpreter watchdog ----- *)
 
@@ -296,6 +325,301 @@ let test_watchdog_default_off () =
   differential
     (fun () -> Compile.run_func f [])
     (fun (r1, _) (r2, _) -> Alcotest.(check bool) "both complete" true (r1 = [] && r2 = []))
+
+(* ----- ownership: in-place tensor updates ----- *)
+
+(* Each case runs a textual module under both backends with fresh copies
+   of its inputs and checks the results, the profiles and that the
+   caller's tensors are unchanged; it also pins which update ops the
+   compiled backend executes in place. The negative cases are built so
+   that an in-place update would change a returned value. *)
+
+let rt_equal a b =
+  match (a, b) with
+  | Rtval.Tensor x, Rtval.Tensor y -> Tensor.equal x y
+  | _ -> a = b
+
+let ownership_case ?(hooks = fun () -> []) ~expect text inputs =
+  let main () = List.hd (Parser.parse_module_text text).Func.funcs in
+  Alcotest.(check (list string))
+    "ops updated in place" expect
+    (List.map (fun (op : Ir.op) -> op.Ir.name) (Compile.in_place_ops (main ()).Func.body));
+  let run () =
+    let args = List.map (fun t -> Tensor.copy t) inputs in
+    let results, profile =
+      Compile.run_func ~hooks:(hooks ()) (main ()) (List.map (fun t -> Rtval.Tensor t) args)
+    in
+    List.iter2
+      (fun before after ->
+        if not (Tensor.equal before after) then
+          Alcotest.failf "caller's tensor modified: %s -> %s" (Tensor.to_string before)
+            (Tensor.to_string after))
+      inputs args;
+    (results, profile)
+  in
+  differential run (fun (r1, p1) (r2, p2) ->
+      Alcotest.(check bool) "results equal" true (List.for_all2 rt_equal r1 r2);
+      Alcotest.(check bool) "profiles equal" true (Profile.equal p1 p2))
+
+let v4 = Tensor.of_int_array [| 4 |] [| 1; 2; 3; 4 |]
+let v2 = Tensor.of_int_array [| 2 |] [| 10; 20 |]
+
+let consts =
+  {|
+    %c0 = "arith.constant"() {value = 0} : () -> (index)
+    %c1 = "arith.constant"() {value = 1} : () -> (index)
+    %c4 = "arith.constant"() {value = 4} : () -> (index)
+    %k = "arith.constant"() {value = 7} : () -> (i32)|}
+
+let test_owned_loop_in_place () =
+  (* accumulator loop: reads of the iteration argument before the update
+     are fine; the merge writes into its freshly extracted lhs *)
+  ownership_case ~expect:[ "tensor.insert"; "tensor.insert_slice"; "cinm.merge_partial" ]
+    ({|
+  func.func @main(%arg0: tensor<4xi32>, %arg1: tensor<2xi32>) -> (tensor<4xi32>, tensor<2xi32>) {|}
+   ^ consts
+   ^ {|
+    %e = "tensor.empty"() : () -> (tensor<4xi32>)
+    %r = "scf.for"(%c0, %c4, %c1, %e) ({
+    ^bb0(%i: index, %acc: tensor<4xi32>):
+      %old = "tensor.extract"(%acc, %i) : (tensor<4xi32>, index) -> (i32)
+      %x = "tensor.extract"(%arg0, %i) : (tensor<4xi32>, index) -> (i32)
+      %s = "arith.addi"(%old, %x) : (i32, i32) -> (i32)
+      %n = "tensor.insert"(%s, %acc, %i) : (i32, tensor<4xi32>, index) -> (tensor<4xi32>)
+      "scf.yield"(%n) : (tensor<4xi32>) -> ()
+    }) : (index, index, index, tensor<4xi32>) -> (tensor<4xi32>)
+    %w = "tensor.insert_slice"(%arg1, %r) {offsets = [1]} : (tensor<2xi32>, tensor<4xi32>) -> (tensor<4xi32>)
+    %p = "tensor.extract_slice"(%w) {offsets = [2], sizes = [2]} : (tensor<4xi32>) -> (tensor<2xi32>)
+    %m = "cinm.merge_partial"(%p, %arg1) {op = "add"} : (tensor<2xi32>, tensor<2xi32>) -> (tensor<2xi32>)
+    "func.return"(%w, %m) : (tensor<4xi32>, tensor<2xi32>) -> ()
+  }|})
+    [ v4; v2 ]
+
+let test_owned_arg_not_updated () =
+  (* an entry-block argument belongs to the caller, directly or as a loop
+     init *)
+  ownership_case ~expect:[]
+    ({|
+  func.func @main(%arg0: tensor<4xi32>, %arg1: tensor<2xi32>) -> (tensor<4xi32>, tensor<4xi32>) {|}
+   ^ consts
+   ^ {|
+    %u = "tensor.insert_slice"(%arg1, %arg0) {offsets = [1]} : (tensor<2xi32>, tensor<4xi32>) -> (tensor<4xi32>)
+    %r = "scf.for"(%c0, %c4, %c1, %arg0) ({
+    ^bb0(%i: index, %acc: tensor<4xi32>):
+      %n = "tensor.insert"(%k, %acc, %i) : (i32, tensor<4xi32>, index) -> (tensor<4xi32>)
+      "scf.yield"(%n) : (tensor<4xi32>) -> ()
+    }) : (index, index, index, tensor<4xi32>) -> (tensor<4xi32>)
+    "func.return"(%u, %r) : (tensor<4xi32>, tensor<4xi32>) -> ()
+  }|})
+    [ v4; v2 ]
+
+let test_owned_read_after_update () =
+  ownership_case ~expect:[]
+    ({|
+  func.func @main(%arg0: tensor<4xi32>) -> (tensor<4xi32>, i32, tensor<4xi32>, i32) {|}
+   ^ consts
+   ^ {|
+    %e = "tensor.splat"(%k) : (i32) -> (tensor<4xi32>)
+    %u = "tensor.insert"(%c0, %e, %c1) : (index, tensor<4xi32>, index) -> (tensor<4xi32>)
+    %x = "tensor.extract"(%e, %c1) : (tensor<4xi32>, index) -> (i32)
+    %z = "arith.constant"() {value = 0} : () -> (i32)
+    %e2 = "tensor.empty"() : () -> (tensor<4xi32>)
+    %r0, %r1 = "scf.for"(%c0, %c4, %c1, %e2, %z) ({
+    ^bb0(%i: index, %acc: tensor<4xi32>, %sum: i32):
+      %n = "tensor.insert"(%k, %acc, %i) : (i32, tensor<4xi32>, index) -> (tensor<4xi32>)
+      %o = "tensor.extract"(%acc, %i) : (tensor<4xi32>, index) -> (i32)
+      %t = "arith.addi"(%sum, %o) : (i32, i32) -> (i32)
+      "scf.yield"(%n, %t) : (tensor<4xi32>, i32) -> ()
+    }) : (index, index, index, tensor<4xi32>, i32) -> (tensor<4xi32>, i32)
+    "func.return"(%u, %x, %r0, %r1) : (tensor<4xi32>, i32, tensor<4xi32>, i32) -> ()
+  }|})
+    [ v4 ]
+
+let test_owned_alias () =
+  (* reshape and expand share storage with their source *)
+  ownership_case ~expect:[]
+    ({|
+  func.func @main(%arg0: tensor<2xi32>) -> (tensor<2x2xi32>, tensor<4xi32>, tensor<4x1xi32>, tensor<4xi32>, tensor<4xi32>) {|}
+   ^ consts
+   ^ {|
+    %e = "tensor.splat"(%k) : (i32) -> (tensor<4xi32>)
+    %r = "tensor.reshape"(%e) : (tensor<4xi32>) -> (tensor<2x2xi32>)
+    %u = "tensor.insert_slice"(%arg0, %e) {offsets = [0]} : (tensor<2xi32>, tensor<4xi32>) -> (tensor<4xi32>)
+    %f = "tensor.splat"(%k) : (i32) -> (tensor<4xi32>)
+    %x = "cinm.expand"(%f) : (tensor<4xi32>) -> (tensor<4x1xi32>)
+    %v = "tensor.insert"(%c0, %f, %c1) : (index, tensor<4xi32>, index) -> (tensor<4xi32>)
+    %g = "tensor.splat"(%k) : (i32) -> (tensor<4xi32>)
+    %h = "tensor.reshape"(%g) : (tensor<4xi32>) -> (tensor<4xi32>)
+    %w = "tensor.insert"(%c0, %h, %c1) : (index, tensor<4xi32>, index) -> (tensor<4xi32>)
+    "func.return"(%r, %u, %x, %v, %g) : (tensor<2x2xi32>, tensor<4xi32>, tensor<4x1xi32>, tensor<4xi32>, tensor<4xi32>) -> ()
+  }|})
+    [ v2 ]
+
+(* A stand-in for a device launch: [test.stash] evaluates its region and
+   keeps the tensor it yields, as a machine keeps a captured buffer;
+   [test.peek] reads element 1 of it later. *)
+let stash_hooks () =
+  let kept = ref None in
+  [ (fun ctx (op : Ir.op) _ops ->
+      match op.Ir.name with
+      | "test.stash" -> (
+        match Compile.run_region ctx (Ir.region op 0) [] with
+        | [ Rtval.Tensor t ] ->
+          kept := Some t;
+          Some []
+        | _ -> None)
+      | "test.peek" -> (
+        match !kept with Some t -> Some [ Rtval.Int (Tensor.get_int t 1) ] | None -> None)
+      | _ -> None) ]
+
+let test_owned_escapes () =
+  (* through an scf.if yield, and through a region capture that a hook
+     keeps past the update *)
+  ownership_case ~hooks:stash_hooks ~expect:[]
+    ({|
+  func.func @main(%arg0: tensor<4xi32>) -> (tensor<4xi32>, tensor<4xi32>, tensor<4xi32>, tensor<4xi32>, i32) {|}
+   ^ consts
+   ^ {|
+    %t = "arith.cmpi"(%c0, %c1) {predicate = "slt"} : (index, index) -> (i1)
+    %e = "tensor.splat"(%k) : (i32) -> (tensor<4xi32>)
+    %y = "scf.if"(%t) ({
+      "scf.yield"(%e) : (tensor<4xi32>) -> ()
+    }) ({
+      "scf.yield"(%arg0) : (tensor<4xi32>) -> ()
+    }) : (i1) -> (tensor<4xi32>)
+    %u = "tensor.insert"(%c0, %e, %c1) : (index, tensor<4xi32>, index) -> (tensor<4xi32>)
+    %w = "tensor.insert"(%c4, %y, %c1) : (index, tensor<4xi32>, index) -> (tensor<4xi32>)
+    %f = "tensor.splat"(%k) : (i32) -> (tensor<4xi32>)
+    "test.stash"() ({
+      "scf.yield"(%f) : (tensor<4xi32>) -> ()
+    }) : () -> ()
+    %v = "tensor.insert"(%c0, %f, %c1) : (index, tensor<4xi32>, index) -> (tensor<4xi32>)
+    %p = "test.peek"() : () -> (i32)
+    "func.return"(%y, %u, %w, %v, %p) : (tensor<4xi32>, tensor<4xi32>, tensor<4xi32>, tensor<4xi32>, i32) -> ()
+  }|})
+    [ v4 ]
+
+let test_owned_shared_init () =
+  (* one init value feeding two loops: the second must not see the
+     first's writes *)
+  ownership_case ~expect:[]
+    ({|
+  func.func @main(%arg0: tensor<4xi32>) -> (tensor<4xi32>, tensor<4xi32>) {|}
+   ^ consts
+   ^ {|
+    %e = "tensor.splat"(%k) : (i32) -> (tensor<4xi32>)
+    %a = "scf.for"(%c0, %c4, %c1, %e) ({
+    ^bb0(%i: index, %acc: tensor<4xi32>):
+      %n = "tensor.insert"(%i, %acc, %i) : (index, tensor<4xi32>, index) -> (tensor<4xi32>)
+      "scf.yield"(%n) : (tensor<4xi32>) -> ()
+    }) : (index, index, index, tensor<4xi32>) -> (tensor<4xi32>)
+    %b = "scf.for"(%c0, %c4, %c1, %e) ({
+    ^bb0(%i: index, %acc: tensor<4xi32>):
+      %x = "tensor.extract"(%acc, %i) : (tensor<4xi32>, index) -> (i32)
+      %s = "arith.addi"(%x, %k) : (i32, i32) -> (i32)
+      %n = "tensor.insert"(%s, %acc, %i) : (i32, tensor<4xi32>, index) -> (tensor<4xi32>)
+      "scf.yield"(%n) : (tensor<4xi32>) -> ()
+    }) : (index, index, index, tensor<4xi32>) -> (tensor<4xi32>)
+    "func.return"(%a, %b) : (tensor<4xi32>, tensor<4xi32>) -> ()
+  }|})
+    [ v4 ]
+
+(* ----- DMA: one implementation, identical under both backends ----- *)
+
+(* A 2x2 (DPU x tasklet) kernel: each PU copies its 2-element MRAM slice
+   of the input through WRAM into the output, with the given (count, MRAM
+   offset) for the read and the write, then meets a barrier. Returns the
+   output, the machine stats, how many DMA ops reached a hook, and each
+   lane's DMA and dispatch counters as the barrier (a hook op) sees them. *)
+let run_dma_kernel ?(read = (2, 0)) ?(write = (2, 0)) () =
+  let f = Func.create ~name:"dma" ~arg_tys:[ tensor [| 8 |] ] ~result_tys:[ tensor [| 8 |] ] in
+  let b = Builder.for_func f in
+  let wg = Upmem_d.alloc_dpus b ~dimms:1 ~dpus:2 ~tasklets:2 in
+  let inb = Upmem_d.alloc b wg ~shape:[| 2 |] ~dtype:T.I32 ~level:0 in
+  ignore (Upmem_d.scatter b (Func.param f 0) inb wg ~map:"block");
+  let outb = Upmem_d.alloc b wg ~shape:[| 2 |] ~dtype:T.I32 ~level:0 in
+  ignore
+    (Upmem_d.launch b wg ~tasklets:2 ~ins:[ inb ] ~outs:[ outb ] (fun bb args ->
+         let wram = Upmem_d.wram_alloc bb [| 2 |] T.I32 in
+         let c0 = Arith.const_index bb 0 in
+         let rc, ro = read and wc, wo = write in
+         Upmem_d.mram_read bb ~mram:args.(0) ~wram ~mram_off:(Arith.const_index bb ro)
+           ~wram_off:c0 ~count:rc;
+         Upmem_d.mram_write bb ~wram ~mram:args.(1) ~mram_off:(Arith.const_index bb wo)
+           ~wram_off:c0 ~count:wc;
+         Upmem_d.barrier_wait bb));
+  let out, _ = Upmem_d.gather b outb wg ~result_shape:[| 8 |] in
+  Func_d.return b [ out ];
+  let machine = Usim.Machine.create ~faults:None (Usim.Config.default ~dimms:1 ()) in
+  let hooked = ref 0 and lanes = ref [] in
+  let hook ctx (op : Ir.op) ops =
+    (match op.Ir.name with
+    | "upmem.mram_read" | "upmem.mram_write" -> incr hooked
+    | _ -> ());
+    (match op.Ir.name with
+    | "upmem.barrier_wait" ->
+      let p = ctx.Interp.profile in
+      lanes := (p.Profile.dma_transfers, p.Profile.dma_bytes, p.Profile.launched_ops) :: !lanes
+    | _ -> ());
+    Usim.Machine.hook machine ctx op ops
+  in
+  let results, _ = Compile.run_func ~hooks:[ hook ] f [ Rtval.Tensor (iota [| 8 |]) ] in
+  (List.map Rtval.as_tensor results, machine.Usim.Machine.stats, !hooked, List.rev !lanes)
+
+let test_dma_parity () =
+  differential run_dma_kernel (fun (r1, s1, h1, l1) (r2, s2, h2, l2) ->
+      check_tensors "dma copy" r1 r2;
+      check_tensors "dma copy is the identity" [ iota [| 8 |] ] r1;
+      Alcotest.(check bool) "stats identical" true (Usim.Stats.equal s1 s2);
+      Alcotest.(check int) "dma bytes" (8 * 4 * 2) s1.Usim.Stats.dma_bytes;
+      Alcotest.(check int) "lanes seen" 4 (List.length l1);
+      Alcotest.(check (list (triple int int int))) "lane counters identical" l1 l2;
+      Alcotest.(check int) "no DMA op reaches a hook (tree)" 0 h1;
+      Alcotest.(check int) "no DMA op reaches a hook (compiled)" 0 h2);
+  (* host-driven DMA ops (no launch, no machine) use the same semantics *)
+  let host () =
+    let f =
+      Func.create ~name:"host_dma"
+        ~arg_tys:[ T.MemRef ([| 8 |], T.I32); T.MemRef ([| 4 |], T.I32) ]
+        ~result_tys:[]
+    in
+    let b = Builder.for_func f in
+    let c1 = Arith.const_index b 1 and c2 = Arith.const_index b 2 in
+    Upmem_d.mram_read b ~mram:(Func.param f 0) ~wram:(Func.param f 1) ~mram_off:c2
+      ~wram_off:c1 ~count:3;
+    Upmem_d.mram_write b ~wram:(Func.param f 1) ~mram:(Func.param f 0) ~mram_off:c1
+      ~wram_off:c1 ~count:3;
+    Func_d.return b [];
+    let mram = iota [| 8 |] and wram = Tensor.zeros [| 4 |] T.I32 in
+    let _, p = Compile.run_func f [ Rtval.Memref mram; Rtval.Memref wram ] in
+    (mram, wram, p)
+  in
+  differential host (fun (m1, w1, p1) (m2, w2, p2) ->
+      check_tensors "host dma" [ m1; w1 ] [ m2; w2 ];
+      Alcotest.(check bool) "profiles identical" true (Profile.equal p1 p2);
+      Alcotest.(check int) "transfers" 2 p1.Profile.dma_transfers;
+      Alcotest.(check int) "bytes" 24 p1.Profile.dma_bytes)
+
+let test_dma_bounds_parity () =
+  List.iter
+    (fun (scenario, expect) ->
+      let e_tree = with_backend Compile.Tree (fun () -> catch scenario) in
+      let e_comp = with_backend Compile.Compiled (fun () -> catch scenario) in
+      match (e_tree, e_comp) with
+      | Some a, Some b ->
+        Alcotest.(check string) "same diagnostic" a b;
+        List.iter
+          (fun part ->
+            if not (contains a part) then Alcotest.failf "%S does not mention %S" a part)
+          expect
+      | _ -> Alcotest.fail "expected both backends to raise")
+    [ ( (fun () -> run_dma_kernel ~read:(6, 0) ()),
+        [ "upmem.mram_read: MRAM range [0, 6) out of bounds for 2 elements";
+          "on DPU 0 (tasklet 0)" ] );
+      ( (fun () -> run_dma_kernel ~write:(2, 1) ()),
+        [ "upmem.mram_write: MRAM range [1, 3) out of bounds for 2 elements";
+          "on DPU 0 (tasklet 0)" ] );
+    ]
 
 (* ----- bench --json differential ----- *)
 
@@ -376,6 +700,18 @@ let () =
           Alcotest.test_case "error parity" `Quick test_error_parity;
           Alcotest.test_case "watchdog parity" `Quick test_watchdog_parity;
           Alcotest.test_case "watchdog off by default" `Quick test_watchdog_default_off;
+        ] );
+      ( "ownership",
+        [ Alcotest.test_case "owned loop updates in place" `Quick test_owned_loop_in_place;
+          Alcotest.test_case "argument destination copies" `Quick test_owned_arg_not_updated;
+          Alcotest.test_case "read after update copies" `Quick test_owned_read_after_update;
+          Alcotest.test_case "reshape/expand alias copies" `Quick test_owned_alias;
+          Alcotest.test_case "if yield / capture copies" `Quick test_owned_escapes;
+          Alcotest.test_case "shared loop init copies" `Quick test_owned_shared_init;
+        ] );
+      ( "dma",
+        [ Alcotest.test_case "tree/compiled parity, no hook dispatch" `Quick test_dma_parity;
+          Alcotest.test_case "bounds diagnostics identical" `Quick test_dma_bounds_parity;
         ] );
       ( "bench-json",
         [ Alcotest.test_case "bit-identical at jobs 1 and 4" `Quick

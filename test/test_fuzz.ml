@@ -9,7 +9,14 @@ module Pool = Cinm_support.Pool
 
 let () = Cinm_dialects.Registry.ensure_all ()
 
-let gen_text seed = Printer.module_to_string (Fuzz.Gen.generate ~seed ())
+(* the campaign's grammar (loops may update their carried tensor) *)
+let gen_text seed = Printer.module_to_string (Fuzz.Campaign.module_of_seed seed)
+
+(* the default grammar: perfbench's compile-stream pool, --demo-shrink
+   and the fixtures recorded before the update loops *)
+let default_text seed = Printer.module_to_string (Fuzz.Gen.generate ~seed ())
+
+let grammars = [ ("campaign", gen_text); ("default", default_text) ]
 
 let with_jobs j f =
   let saved = Pool.default_jobs () in
@@ -24,20 +31,23 @@ let with_jobs j f =
 let test_deterministic () =
   (* same seed, same bytes — across repeated calls and jobs settings *)
   List.iter
-    (fun seed ->
-      let a = gen_text seed in
-      let b = gen_text seed in
-      Alcotest.(check string) (Printf.sprintf "seed %d repeat" seed) a b;
-      let c = with_jobs 1 (fun () -> gen_text seed) in
-      let d = with_jobs 4 (fun () -> gen_text seed) in
-      Alcotest.(check string) (Printf.sprintf "seed %d jobs=1" seed) a c;
-      Alcotest.(check string) (Printf.sprintf "seed %d jobs=4" seed) a d)
-    [ 0; 1; 7; 42; 199 ];
-  (* different seeds diverge (SplitMix64 streams are independent) *)
-  Alcotest.(check bool) "seeds 0 and 1 differ" true (gen_text 0 <> gen_text 1)
+    (fun (g, text) ->
+      List.iter
+        (fun seed ->
+          let a = text seed in
+          let b = text seed in
+          Alcotest.(check string) (Printf.sprintf "%s seed %d repeat" g seed) a b;
+          let c = with_jobs 1 (fun () -> text seed) in
+          let d = with_jobs 4 (fun () -> text seed) in
+          Alcotest.(check string) (Printf.sprintf "%s seed %d jobs=1" g seed) a c;
+          Alcotest.(check string) (Printf.sprintf "%s seed %d jobs=4" g seed) a d)
+        [ 0; 1; 7; 42; 199 ];
+      (* different seeds diverge (SplitMix64 streams are independent) *)
+      Alcotest.(check bool) (g ^ " seeds 0 and 1 differ") true (text 0 <> text 1))
+    grammars
 
 let test_args_deterministic () =
-  let m = Fuzz.Gen.generate ~seed:11 () in
+  let m = Fuzz.Campaign.module_of_seed 11 in
   let f = List.hd m.Func.funcs in
   let a = Fuzz.Gen.arg_values ~seed:11 f in
   let b = Fuzz.Gen.arg_values ~seed:11 f in
@@ -51,20 +61,27 @@ let test_args_deterministic () =
 let n_validity = 500
 
 let test_valid_by_construction () =
-  for seed = 0 to n_validity - 1 do
-    let m = Fuzz.Gen.generate ~seed () in
-    (match Verifier.verify_module m with
-    | [] -> ()
-    | errs ->
-      Alcotest.failf "seed %d: %d verifier error(s): %s" seed (List.length errs)
-        (String.concat "; " (List.map Verifier.error_to_string errs)));
-    (* and the printed text parses back to a verifier-valid module *)
-    let m2 = Parser.parse_module_text (Printer.module_to_string m) in
-    Alcotest.(check (list string))
-      (Printf.sprintf "seed %d round-trips clean" seed)
-      []
-      (List.map Verifier.error_to_string (Verifier.verify_module m2))
-  done
+  List.iter
+    (fun (g, generate) ->
+      for seed = 0 to n_validity - 1 do
+        let m = generate seed in
+        (match Verifier.verify_module m with
+        | [] -> ()
+        | errs ->
+          Alcotest.failf "%s seed %d: %d verifier error(s): %s" g seed
+            (List.length errs)
+            (String.concat "; " (List.map Verifier.error_to_string errs)));
+        (* and the printed text parses back to a verifier-valid module *)
+        let m2 = Parser.parse_module_text (Printer.module_to_string m) in
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s seed %d round-trips clean" g seed)
+          []
+          (List.map Verifier.error_to_string (Verifier.verify_module m2))
+      done)
+    [
+      ("campaign", Fuzz.Campaign.module_of_seed);
+      ("default", fun seed -> Fuzz.Gen.generate ~seed ());
+    ]
 
 (* ----- distribution sanity ----- *)
 
@@ -113,14 +130,29 @@ let test_corpus_headers () =
       match Fuzz.Campaign.fuzz_seed_of_text text with
       | None -> Alcotest.failf "%s: no // fuzz-seed: header" path
       | Some seed ->
-        (* the corpus file is exactly what its seed generates today —
-           regenerate with cinm_fuzz --dump-seed when the grammar moves *)
+        (* the corpus file is exactly what its seed generates today in
+           the file's grammar: the historic fixtures stay the default
+           grammar's modules that found their bugs *)
         let m = Parser.parse_module_text text in
         Alcotest.(check string)
-          (Printf.sprintf "%s matches --dump-seed %d" path seed)
-          (gen_text seed)
+          (Printf.sprintf "%s matches its seed %d" path seed)
+          (Printer.module_to_string (Fuzz.Campaign.fixture_module_of_seed ~text seed))
           (Printer.module_to_string m))
     files
+
+let test_grammar_header () =
+  (* a fixture pasted from --dump-seed carries the grammar header and
+     regenerates with the campaign grammar; one without it does not *)
+  let seed = 3 in
+  let dumped = Fuzz.Campaign.grammar_header ^ "\n" ^ gen_text seed in
+  let regen text =
+    Printer.module_to_string (Fuzz.Campaign.fixture_module_of_seed ~text seed)
+  in
+  Alcotest.(check string) "header -> campaign grammar" (gen_text seed) (regen dumped);
+  Alcotest.(check string) "no header -> default grammar" (default_text seed)
+    (regen (default_text seed));
+  Alcotest.(check string) "dumped text parses to the module" (gen_text seed)
+    (Printer.module_to_string (Parser.parse_module_text dumped))
 
 let test_corpus_oracle () =
   (* every historic bug-finding seed must stay green through the full
@@ -159,6 +191,8 @@ let () =
         [
           Alcotest.test_case "fixtures carry fuzz-seed headers" `Quick
             test_corpus_headers;
+          Alcotest.test_case "grammar header selects the generator" `Quick
+            test_grammar_header;
           Alcotest.test_case "historic seeds green on the full matrix" `Slow
             test_corpus_oracle;
         ] );

@@ -624,6 +624,37 @@ let test_daemon_trace_dir () =
               (contains body "run:sel");
             Sys.remove path))
 
+(* A fault plan that fails more DPUs than the allocation can spare: the
+   request degrades to the host through the driver's capacity fallback —
+   an ok reply marked degraded with the reason — instead of an internal
+   error, and with [fallback:false] it is refused as before. *)
+let test_daemon_capacity_degrades () =
+  with_daemon (fun socket ->
+      let c = Client.connect ~attempts:40 socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let r =
+            Client.request c
+              (Client.make_request ~benchmark:"va" ~faults:"dpu_fail=0.9" "run")
+          in
+          Alcotest.(check (option bool)) ("ok: " ^ Json.to_string r) (Some true)
+            (Json.bool_field r "ok");
+          Alcotest.(check (option bool)) "degraded" (Some true)
+            (Json.bool_field r "degraded");
+          (match Json.string_field r "fallback" with
+          | Some msg ->
+            Alcotest.(check bool) ("fallback names the capacity shortage: " ^ msg) true
+              (contains msg "execute")
+          | None -> Alcotest.fail "no fallback field");
+          let strict =
+            Client.request c
+              (Client.make_request ~benchmark:"va" ~faults:"dpu_fail=0.9" ~fallback:false
+                 "run")
+          in
+          Alcotest.(check (option bool)) "no fallback: refused" (Some false)
+            (Json.bool_field strict "ok")))
+
 let () =
   Alcotest.run "serve"
     [
@@ -646,6 +677,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_daemon_errors;
           Alcotest.test_case "degraded+reproducer" `Quick
             test_daemon_degraded_and_reproducer;
+          Alcotest.test_case "capacity shortfall degrades" `Quick
+            test_daemon_capacity_degrades;
           Alcotest.test_case "concurrent configs" `Quick
             test_daemon_concurrent_configs;
           Alcotest.test_case "admission+shutdown" `Quick

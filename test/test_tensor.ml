@@ -1,6 +1,7 @@
 (* Pinned unit tests for strict Tensor.equal (dtype and shape first,
-   NaN-aware float comparison) and for the unboxed narrow payloads'
-   wrap-on-store semantics. *)
+   NaN-aware float comparison), for the unboxed narrow payloads'
+   wrap-on-store semantics, and for the in-place update variants
+   (insert_slice_into, map2_into) against their copying counterparts. *)
 
 open Cinm_ir
 open Cinm_interp
@@ -75,6 +76,69 @@ let test_wrap_function_pinned () =
   Alcotest.(check int) "wrap i1 3" 1 (Tensor.wrap T.I1 3);
   Alcotest.(check int) "wrap i64 is identity" max_int (Tensor.wrap T.I64 max_int)
 
+(* ----- in-place updates agree with the copying ops ----- *)
+
+let outcome f = match f () with t -> Ok t | exception Invalid_argument m -> Error m
+
+let same_outcome name copying in_place =
+  match (outcome copying, outcome in_place) with
+  | Ok a, Ok b ->
+    if not (Tensor.equal a b) then
+      Alcotest.failf "%s: %s vs %s" name (Tensor.to_string a) (Tensor.to_string b)
+  | Error a, Error b -> Alcotest.(check string) (name ^ ": same error") a b
+  | _ -> Alcotest.failf "%s: one variant raised, the other did not" name
+
+(* payload kinds: int array (i32), bytes (i8, i16), floats; the i8 pair
+   wraps on the narrow path *)
+let operands () =
+  [ ( "i32",
+      Tensor.of_int_array [| 2; 3 |] [| 1; -2; 3; 4; 5; 6 |],
+      Tensor.of_int_array [| 2; 3 |] [| 7; 8; -9; 10; 11; 12 |] );
+    ( "i8",
+      Tensor.of_int_array ~dtype:T.I8 [| 2; 3 |] [| 100; -100; 3; 4; 5; 6 |],
+      Tensor.of_int_array ~dtype:T.I8 [| 2; 3 |] [| 100; -100; 9; 10; 11; 12 |] );
+    ( "i16",
+      Tensor.of_int_array ~dtype:T.I16 [| 2; 3 |] [| 30000; 2; 3; 4; 5; 6 |],
+      Tensor.of_int_array ~dtype:T.I16 [| 2; 3 |] [| 30000; 8; 9; 10; 11; 12 |] );
+    ( "f64",
+      Tensor.of_float_array ~dtype:T.F64 [| 2; 3 |] [| 1.5; Float.nan; 3.; 4.; 5.; 6. |],
+      Tensor.of_float_array ~dtype:T.F64 [| 2; 3 |] [| 0.5; 1.; -3.; 4.; 5.; 6. |] ) ]
+
+let test_map2_into () =
+  List.iter
+    (fun (dt, a, b) ->
+      List.iter
+        (fun op ->
+          let name = dt ^ " " ^ op in
+          same_outcome name
+            (fun () -> Tensor.map2 op a b)
+            (fun () ->
+              let a' = Tensor.copy a in
+              Tensor.map2_into op a' b;
+              a'))
+        [ "add"; "mul"; "max"; "bogus" ])
+    (operands ());
+  let a = Tensor.of_int_array [| 2 |] [| 1; 2 |] and b = Tensor.of_int_array [| 3 |] [| 1; 2; 3 |] in
+  same_outcome "shape mismatch" (fun () -> Tensor.map2 "add" a b) (fun () ->
+      Tensor.map2_into "add" a b;
+      a)
+
+let test_insert_slice_into () =
+  List.iter
+    (fun (dt, dst, src) ->
+      let src = Tensor.extract_slice src ~offsets:[| 0; 1 |] ~sizes:[| 2; 2 |] in
+      List.iter
+        (fun offsets ->
+          let name = Printf.sprintf "%s at [%d, %d]" dt offsets.(0) offsets.(1) in
+          same_outcome name
+            (fun () -> Tensor.insert_slice src dst ~offsets)
+            (fun () ->
+              let d = Tensor.copy dst in
+              Tensor.insert_slice_into src d ~offsets;
+              d))
+        [ [| 0; 0 |]; [| 0; 1 |]; [| 1; 1 |] (* out of bounds *) ])
+    (operands ())
+
 let () =
   Alcotest.run "tensor"
     [
@@ -90,5 +154,11 @@ let () =
           Alcotest.test_case "i8 pinned" `Quick test_i8_wrap_pinned;
           Alcotest.test_case "i16 pinned" `Quick test_i16_wrap_pinned;
           Alcotest.test_case "wrap function" `Quick test_wrap_function_pinned;
+        ] );
+      ( "in-place",
+        [
+          Alcotest.test_case "map2_into = map2" `Quick test_map2_into;
+          Alcotest.test_case "insert_slice_into = insert_slice" `Quick
+            test_insert_slice_into;
         ] );
     ]
